@@ -38,6 +38,11 @@ type jsonParser struct {
 	// spines: parsed values reference arena memory instead of owning
 	// heap allocations (see Arena for the lifetime contract).
 	arena *Arena
+	// fields stands in for an owner's hints within one document: the
+	// largest field count seen so far per object depth. Sibling objects
+	// (the rows of an array) usually share a shape, so after the first
+	// they are allocated at their size instead of defaultObjectHint.
+	fields [8]int
 }
 
 func (p *jsonParser) parseDocument() (Value, error) {
@@ -116,6 +121,8 @@ func (p *jsonParser) parseObject() (Value, error) {
 	p.depth++
 	if p.owner != nil {
 		hint = p.owner.hint(depth)
+	} else if depth < len(p.fields) && p.fields[depth] > 0 {
+		hint = p.fields[depth]
 	}
 	var obj *Object
 	if p.arena != nil {
@@ -164,6 +171,8 @@ func (p *jsonParser) parseObject() (Value, error) {
 			p.depth--
 			if p.owner != nil {
 				p.owner.observe(depth, obj.Len())
+			} else if depth < len(p.fields) {
+				p.fields[depth] = min(max(p.fields[depth], obj.Len()), maxFieldHint)
 			}
 			return ObjectValue(obj), nil
 		default:

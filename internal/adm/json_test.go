@@ -82,6 +82,20 @@ func TestParseJSONStructures(t *testing.T) {
 	}
 }
 
+// TestParseJSONSizesSiblingObjects: without a Parser's hints, objects
+// after the first at a depth are allocated at the largest field count
+// seen there, not at defaultObjectHint, and a larger sibling still
+// parses whole.
+func TestParseJSONSizesSiblingObjects(t *testing.T) {
+	rows := mustParse(t, `[{"a": 1, "b": 2}, {"a": 3, "b": 4}, {"a": 5, "b": 6, "c": 7}]`).ArrayVal()
+	if got := cap(rows[1].ObjectVal().values); got != 2 {
+		t.Errorf("second row allocated for %d fields, want 2", got)
+	}
+	if o := rows[2].ObjectVal(); o.Len() != 3 || rows[2].Field("c").IntVal() != 7 {
+		t.Errorf("third row = %v", rows[2])
+	}
+}
+
 func TestParseJSONErrors(t *testing.T) {
 	bad := []string{
 		``, `{`, `}`, `[1,`, `{"a":}`, `{"a" 1}`, `"unterminated`,

@@ -157,6 +157,9 @@ type Feed struct {
 	// RecompilePerBatch ablation rebuilds the spec every batch instead.
 	computeSpec *hyracks.JobSpec
 	curInv      atomic.Pointer[invocation]
+	// prepared is the SQL++ state kept across invocations (AFM goroutine
+	// only); see refreshPrepared.
+	prepared *query.PreparedEnrich
 
 	eof []atomic.Bool // per pipeline partition: intake holder fully drained
 
@@ -633,25 +636,13 @@ type invocation struct {
 	records   atomic.Int64
 }
 
-// newInvocation performs the per-batch build phase: Prepare fresh SQL++
-// state from current snapshots, or re-initialize native instances so
+// newInvocation performs the per-batch build phase: refresh the SQL++
+// state to current snapshots, or re-initialize native instances so
 // resource-file updates are observed.
 func (f *Feed) newInvocation() (*invocation, error) {
 	inv := &invocation{}
 	if f.plan != nil {
-		plan := f.plan
-		if f.cfg.RecompilePerBatch {
-			// Ablation: repeat the whole compilation the predeployed-job
-			// technique would have cached.
-			fn, _ := f.cluster.Function(f.cfg.Function)
-			recompiled, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, f.cluster,
-				query.PlanOptions{DisableIndexes: f.cfg.DisableIndexes})
-			if err != nil {
-				return nil, err
-			}
-			plan = recompiled
-		}
-		pe, err := plan.Prepare(f.cluster)
+		pe, err := f.refreshPrepared()
 		if err != nil {
 			return nil, err
 		}
@@ -668,6 +659,39 @@ func (f *Feed) newInvocation() (*invocation, error) {
 		}
 	}
 	return inv, nil
+}
+
+// refreshPrepared returns the SQL++ state for the next invocation. The
+// predeployed path keeps one PreparedEnrich for the feed's lifetime and
+// refreshes it in place, applying only the reference changes since the
+// previous invocation's snapshots: the previous job has finished
+// (job.Wait) and no evaluator outlives its job, so nothing reads the
+// state while it changes. The RecompilePerBatch ablation compiles a new
+// plan every batch and so always prepares from nothing.
+func (f *Feed) refreshPrepared() (*query.PreparedEnrich, error) {
+	if f.cfg.RecompilePerBatch {
+		// Ablation: repeat the whole compilation the predeployed-job
+		// technique would have cached.
+		fn, _ := f.cluster.Function(f.cfg.Function)
+		plan, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, f.cluster,
+			query.PlanOptions{DisableIndexes: f.cfg.DisableIndexes})
+		if err != nil {
+			return nil, err
+		}
+		return plan.Prepare(f.cluster)
+	}
+	if f.prepared == nil {
+		pe, err := f.plan.Prepare(f.cluster)
+		if err != nil {
+			return nil, err
+		}
+		f.prepared = pe
+		return pe, nil
+	}
+	if err := f.prepared.Refresh(f.cluster); err != nil {
+		return nil, err
+	}
+	return f.prepared, nil
 }
 
 // buildComputeSpec assembles the computing job: collector+parser → UDF

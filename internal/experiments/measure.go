@@ -89,7 +89,7 @@ type result struct {
 }
 
 // run executes one pipeline to completion against the bench cluster.
-func (b *bench) run(spec runSpec) (result, error) {
+func (b *bench) run(spec runSpec) (_ result, rerr error) {
 	if err := b.resetTarget("EnrichedTweets"); err != nil {
 		return result{}, err
 	}
@@ -134,15 +134,19 @@ func (b *bench) run(spec runSpec) (result, error) {
 	}
 
 	ctx := context.Background()
-	var stopUpdates func()
 	if spec.updates.rate > 0 {
-		var err error
-		stopUpdates, err = workload.StartUpdates(ctx, b.cluster, b.gen,
+		stopUpdates, err := workload.StartUpdates(ctx, b.cluster, b.gen,
 			spec.updates.dataset, spec.updates.rate)
 		if err != nil {
 			return result{}, err
 		}
-		defer stopUpdates()
+		defer func() {
+			// The update stream is part of the measured condition: a run
+			// whose upserts partly failed did not run at its rate.
+			if uerr := stopUpdates(); uerr != nil && rerr == nil {
+				rerr = fmt.Errorf("run %s: %w", spec.name, uerr)
+			}
+		}()
 	}
 
 	start := time.Now()

@@ -344,7 +344,13 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Pinned != 0 {
+	// A compaction the flusher is still running pins its input blocks
+	// while it reads them; count pins between its work units, where any
+	// pin left is a leak.
+	p.flushMu.Lock()
+	st := cache.Stats()
+	p.flushMu.Unlock()
+	if st.Pinned != 0 {
 		t.Fatalf("leaked pins after workload: %+v", st)
 	}
 }

@@ -46,7 +46,8 @@ type Options struct {
 	// a flush to an immutable component.
 	MemBudget int
 	// MaxComponents is the number of immutable components that triggers
-	// a full (tiered) merge.
+	// an in-memory merge (size-tiered, see mergeLocked); durable
+	// partitions use it as the run-count backstop of compaction.
 	MaxComponents int
 	// GroupCommit is the WAL group-commit window (see WAL).
 	GroupCommit time.Duration
@@ -79,10 +80,12 @@ type component struct {
 	run   *runFile     // on-disk run; nil for memory-backed components
 
 	// upToLSN is the highest WAL sequence number whose effect the
-	// component (together with everything older) contains. The flusher
-	// uses it as the durable watermark: once this component is a run
-	// file, WAL segments at or below upToLSN are dead. Zero in
-	// non-durable partitions.
+	// component (together with everything older) contains. Every
+	// partition assigns LSNs, durable or not. Components tile the log:
+	// one covers (next older component's upToLSN, upToLSN], which is what
+	// Snapshot.ChangesSince reads deltas from. The flusher also uses it
+	// as the durable watermark: once this component is a run file, WAL
+	// segments at or below upToLSN are dead.
 	upToLSN uint64
 	// bytes is the on-disk size of a run-backed component (compaction
 	// tiering input).
@@ -725,32 +728,64 @@ func (p *Partition) freezeLocked() {
 	// partition lock we hold: the frozen tree contains precisely the
 	// effects of LSNs <= upToLSN not already in older components.
 	c := &component{tree: p.mem, upToLSN: p.wal.LSN()}
-	p.components = append([]*component{c}, p.components...)
 	p.mem = index.NewBTree()
 	p.memBytes = 0
 	if p.durable() {
+		p.components = append([]*component{c}, p.components...)
 		p.signalFlushLocked()
 		return
 	}
-	if len(p.components) > p.opts.MaxComponents {
+	// Merge the older components before the frozen one joins them: the
+	// merge then covers only writes an earlier freeze (usually the
+	// previous Snapshot) already saw, so the frozen writes stay a
+	// separate component that ChangesSince can hand out as a delta.
+	if len(p.components) >= p.opts.MaxComponents {
 		p.mergeLocked()
 	}
+	p.components = append([]*component{c}, p.components...)
 }
 
-// mergeLocked compacts every component into one, dropping shadowed
-// versions and tombstones (a full tiered merge). Frozen memtable trees
-// that no Snapshot ever observed are released back to the B-tree node
-// pool — the memtable's node free-list recycled across freezes.
+// mergeLocked compacts the in-memory components, dropping shadowed
+// versions. It is size-tiered: while the components newer than the
+// oldest (the base) hold under a quarter of the base's entries, only
+// they merge, keeping their tombstones, which still shadow the base;
+// otherwise everything merges into one component and tombstones go. A
+// trickle of small freezes (the per-invocation snapshots of a reference
+// dataset under updates) then costs merges in proportion to the
+// changes, not rewrites of the whole base. Frozen memtable trees that
+// no Snapshot ever observed are released back to the B-tree node pool
+// — the memtable's node free-list recycled across freezes.
 func (p *Partition) mergeLocked() {
+	comps := p.components
+	n := len(comps) - 1 // the newer components, comps[:n]
+	newer := 0
+	for _, c := range comps[:n] {
+		newer += c.len()
+	}
+	if n < 2 || 4*newer >= comps[n].len() {
+		n = len(comps) // a full merge
+	}
+	if n < 2 {
+		return
+	}
 	p.stats.Merges++
-	merged := mergeComponents(p.components, true)
-	for _, c := range p.components {
+	merged := &component{items: mergeComponents(comps[:n], n == len(comps)), upToLSN: comps[0].upToLSN}
+	for _, c := range comps[:n] {
 		if c.tree != nil && !c.shared {
 			c.tree.Release()
 			c.tree = nil
 		}
 	}
-	p.components = []*component{{items: merged}}
+	p.components = append([]*component{merged}, comps[n:]...)
+}
+
+// len counts the entries (tombstones included) of an in-memory
+// component; run-backed components report 0.
+func (c *component) len() int {
+	if c.tree != nil {
+		return c.tree.Len()
+	}
+	return len(c.items)
 }
 
 // getLocked performs a point lookup across memtable and components,
@@ -824,7 +859,11 @@ func (p *Partition) Snapshot() *Snapshot {
 		c.shared = true
 	}
 	p.mu.Unlock()
-	return &Snapshot{components: comps}
+	s := &Snapshot{part: p, components: comps}
+	if len(comps) > 0 {
+		s.lsn = comps[0].upToLSN
+	}
+	return s
 }
 
 // Len returns the number of live records (scanning all components).
@@ -873,7 +912,51 @@ func (p *Partition) forEachLiveLocked(fn func(key, rec adm.Value)) {
 
 // Snapshot is an immutable view of a partition at a point in time.
 type Snapshot struct {
+	part       *Partition
+	lsn        uint64       // newest component's upToLSN; 0 when empty
 	components []*component // newest first
+}
+
+// LSN is the snapshot's position in its partition's log: it holds every
+// write at or below LSN and none above it.
+func (s *Snapshot) LSN() uint64 { return s.lsn }
+
+// ChangesSince visits, in primary-key order, every key written after
+// the older snapshot prev of the same partition was taken, with its
+// newest version; a deleted key is reported with a MISSING record. fn
+// returning false stops the visit. The delta is read from the
+// components newer than prev.LSN(), so it costs O(changes), not
+// O(records), and needs no write-path bookkeeping.
+//
+// ok=false means the delta is unavailable and fn was not called: prev
+// is nil, of another partition (the dataset was dropped and recreated),
+// or newer than s, or a merge folded writes from both sides of
+// prev.LSN() into one component (a merge may drop tombstones, so such a
+// component cannot say what was deleted).
+func (s *Snapshot) ChangesSince(prev *Snapshot, fn func(key, rec adm.Value) bool) (ok bool) {
+	if prev == nil || prev.part != s.part || prev.lsn > s.lsn {
+		return false
+	}
+	n := 0
+	for n < len(s.components) && s.components[n].upToLSN > prev.lsn {
+		n++
+	}
+	// Component n-1, the oldest holding changes, begins where component
+	// n ends (at 0 when it is the oldest); it must not reach back below
+	// prev.lsn.
+	if n > 0 {
+		begin := uint64(0)
+		if n < len(s.components) {
+			begin = s.components[n].upToLSN
+		}
+		if begin < prev.lsn {
+			return false
+		}
+	}
+	scanMergedItems(s.components[:n], false, func(it index.Item) bool {
+		return fn(it.Key, it.Val)
+	})
+	return true
 }
 
 // Get performs a point lookup in the snapshot.
@@ -930,7 +1013,11 @@ func (s *Snapshot) Components() int { return len(s.components) }
 // mergeComponents k-way merges the sorted runs (newest first wins per
 // key). When dropTombstones is set, deleted keys vanish from the output.
 func mergeComponents(comps []*component, dropTombstones bool) []index.Item {
-	var out []index.Item
+	n := 0
+	for _, c := range comps {
+		n += c.len()
+	}
+	out := make([]index.Item, 0, n)
 	scanMergedItems(comps, dropTombstones, func(it index.Item) bool {
 		out = append(out, it)
 		return true

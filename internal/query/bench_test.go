@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -83,6 +84,18 @@ func BenchmarkEnrichEvalRecord(b *testing.B) {
 			"country", adm.String(fmt.Sprintf("C%06d", r.Intn(50_000))),
 		))
 	}
+	// Gate: the probe allocates no more per record than it did before
+	// the refresh's primary-key bookkeeping existed.
+	const maxAllocsPerRecord = 14
+	i := 0
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := pe.EvalRecord(tweets[i%len(tweets)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}); got > maxAllocsPerRecord {
+		b.Fatalf("EvalRecord allocates %.1f per record, want <= %d", got, maxAllocsPerRecord)
+	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -90,6 +103,68 @@ func BenchmarkEnrichEvalRecord(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEnrichRefresh measures the per-invocation build phase the
+// feed runs: a Refresh of kept state after a few reference upserts, at
+// 50k reference rows (compare BenchmarkEnrichPrepare, the rebuild it
+// replaces). The upserts run outside the timer. It asserts that a
+// refresh allocates in proportion to the changes it applies, not to
+// the reference rows.
+func BenchmarkEnrichRefresh(b *testing.B) {
+	const rows, changes = 50_000, 5
+	cat, ds := benchCatalog(b, rows)
+	plan := benchPlan(b, cat)
+	pe, err := plan.Prepare(cat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	upsert := func(n int) {
+		for j := 0; j < n; j++ {
+			if err := ds.Upsert(adm.ObjectValue(adm.ObjectFromPairs(
+				"country_code", adm.String(fmt.Sprintf("C%06d", r.Intn(rows))),
+				"safety_rating", adm.String(fmt.Sprintf("%d", r.Intn(5))),
+			))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	refreshAllocs := func(n int) float64 {
+		var before, after runtime.MemStats
+		total := uint64(0)
+		const runs = 20
+		for j := 0; j < runs; j++ {
+			upsert(n)
+			runtime.ReadMemStats(&before)
+			if err := pe.Refresh(cat); err != nil {
+				b.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			total += after.Mallocs - before.Mallocs
+		}
+		return float64(total) / runs
+	}
+	few, many := refreshAllocs(changes), refreshAllocs(10*changes)
+	// A rebuild allocates ~2 per reference row. A refresh stays orders
+	// of magnitude below that, and what it adds per extra change is a
+	// small constant.
+	if perChange := (many - few) / (9 * changes); few > rows/100 || perChange > 20 {
+		b.Fatalf("Refresh allocs: %.0f with %d changes, %.0f with %d; want O(changes), not O(%d rows)",
+			few, changes, many, 10*changes, rows)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		upsert(changes)
+		b.StartTimer()
+		if err := pe.Refresh(cat); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(few, "allocs/refresh-5")
+	b.ReportMetric(many, "allocs/refresh-50")
 }
 
 // BenchmarkGenericCallVsCompiled contrasts the generic per-record UDF

@@ -18,18 +18,19 @@ type PlanOptions struct {
 
 // EnrichPlan is a compiled stateful enrichment UDF: the analysis is done
 // once (at CREATE FUNCTION / CONNECT FEED time — the predeployed-job
-// analog), and each computing-job invocation calls Prepare to rebuild
-// the batch-scoped state from fresh snapshots, then EvalRecord per
-// record. This realizes the paper's Model 2: intermediate states are
-// refreshed from batch to batch, so reference-data changes are observed,
-// while per-record work is a cheap probe.
+// analog). Prepare builds the batch-scoped state from fresh snapshots,
+// each later computing-job invocation brings it to new snapshots with
+// PreparedEnrich.Refresh, and EvalRecord runs per record. This realizes
+// the paper's Model 2: intermediate states are refreshed from batch to
+// batch, so reference-data changes are observed, while per-record work
+// is a cheap probe.
 type EnrichPlan struct {
 	// Name is the UDF name (diagnostics only).
 	Name  string
 	param string
 	body  sqlpp.Expr
 	subs  map[*sqlpp.SelectExpr]*subPlan
-	order []*sqlpp.SelectExpr // deterministic Prepare order
+	order []*sqlpp.SelectExpr // deterministic build order
 	opts  PlanOptions
 
 	usesDatasets bool
@@ -78,6 +79,12 @@ type accessPlan struct {
 
 	indexField string  // accessIndexNLJ: indexed field
 	expand     float64 // accessIndexNLJ: query-rect expansion radius
+
+	// rebuild marks a build that depends on more than the alias record
+	// (a subquery, a UDF or library call, a parameter), so a changed
+	// reference record is not the only thing that can change its
+	// state: every refresh rebuilds it instead of applying a delta.
+	rebuild bool
 }
 
 // CompileEnrich analyzes a unary SQL++ UDF body and produces its
@@ -424,7 +431,57 @@ func (plan *EnrichPlan) compileProbe(sel *sqlpp.SelectExpr, cat Catalog) *subPla
 		}
 	}
 
+	for i := range accesses {
+		acc := &accesses[i]
+		acc.rebuild = !recordLocal(acc.alias, append([]sqlpp.Expr{acc.buildKey, acc.buildRect}, acc.filters...)...)
+	}
 	return &subPlan{kind: probeSub, sel: sel, accesses: accesses, residuals: residuals}
+}
+
+// recordLocal reports whether every expression is a pure function of
+// the alias record: none references another name, a parameter, a
+// subquery, or a catalog or library function, so their values change
+// only when the record does.
+func recordLocal(alias string, exprs ...sqlpp.Expr) bool {
+	for _, e := range exprs {
+		local := false
+		switch n := e.(type) {
+		case nil, *sqlpp.Literal:
+			local = true
+		case *sqlpp.Ident:
+			local = n.Name == alias
+		case *sqlpp.FieldAccess:
+			local = recordLocal(alias, n.Base)
+		case *sqlpp.IndexAccess:
+			local = recordLocal(alias, n.Base, n.Index)
+		case *sqlpp.Call:
+			name := strings.ToLower(n.Name)
+			_, builtin := LookupBuiltin(name)
+			local = n.Ns == "" && (builtin || IsAggregate(name)) && recordLocal(alias, n.Args...)
+		case *sqlpp.Unary:
+			local = recordLocal(alias, n.X)
+		case *sqlpp.Binary:
+			local = recordLocal(alias, n.L, n.R)
+		case *sqlpp.CaseExpr:
+			local = recordLocal(alias, n.Operand, n.Else)
+			for _, w := range n.Whens {
+				local = local && recordLocal(alias, w.When, w.Then)
+			}
+		case *sqlpp.In:
+			local = recordLocal(alias, n.X, n.Coll)
+		case *sqlpp.ArrayCtor:
+			local = recordLocal(alias, n.Elems...)
+		case *sqlpp.ObjectCtor:
+			local = true
+			for _, f := range n.Fields {
+				local = local && recordLocal(alias, f.Val)
+			}
+		} // Param, Exists and subqueries are not local
+		if !local {
+			return false
+		}
+	}
+	return true
 }
 
 // spatialAccess builds the R-tree (or index-NLJ) access for a spatial

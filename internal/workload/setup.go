@@ -312,14 +312,17 @@ func (n *nativeEnrich) Evaluate(rec adm.Value) (adm.Value, error) {
 
 // StartUpdates launches the Section 7.3 update client: upserts into the
 // named reference dataset at the given records/second rate until the
-// returned stop function is called.
-func StartUpdates(ctx context.Context, c *cluster.Cluster, g *Generator, dataset string, perSecond int) (stop func(), err error) {
+// returned stop function is called. stop waits for the client to exit
+// and reports failed upserts: an error counting them (and naming the
+// first) if any upsert failed, so a caller never mistakes a partly
+// applied update stream for the rate it asked for.
+func StartUpdates(ctx context.Context, c *cluster.Cluster, g *Generator, dataset string, perSecond int) (stop func() error, err error) {
 	ds, ok := c.Dataset(dataset)
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown dataset %q", dataset)
 	}
 	if perSecond <= 0 {
-		return func() {}, nil
+		return func() error { return nil }, nil
 	}
 	updCtx, cancel := context.WithCancel(ctx)
 	done := make(chan struct{})
@@ -335,6 +338,9 @@ func StartUpdates(ctx context.Context, c *cluster.Cluster, g *Generator, dataset
 			perTick = 1
 		}
 	}
+	// Written by the client goroutine only; read after done closes.
+	var sent, failed int
+	var firstErr error
 	go func() {
 		defer close(done)
 		ticker := time.NewTicker(interval)
@@ -349,13 +355,22 @@ func StartUpdates(ctx context.Context, c *cluster.Cluster, g *Generator, dataset
 					if !ok {
 						return
 					}
-					_ = ds.Upsert(rec)
+					sent++
+					if err := ds.Upsert(rec); err != nil {
+						if failed++; firstErr == nil {
+							firstErr = err
+						}
+					}
 				}
 			}
 		}
 	}()
-	return func() {
+	return func() error {
 		cancel()
 		<-done
+		if failed > 0 {
+			return fmt.Errorf("workload: %d of %d updates to %s failed: %w", failed, sent, dataset, firstErr)
+		}
+		return nil
 	}, nil
 }

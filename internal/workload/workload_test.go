@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,7 +227,9 @@ func TestStartUpdatesRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond)
-	stop()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
 	delta := ds.Stats().Upserts - before
 	// 200/s for 0.2s ≈ 40; accept a broad band (timers are coarse).
 	if delta < 10 || delta > 80 {
@@ -243,10 +246,42 @@ func TestStartUpdatesRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop2()
+	if err := stop2(); err != nil {
+		t.Fatal(err)
+	}
 	// Unknown dataset errors.
 	if _, err := StartUpdates(context.Background(), c, g, "Nope", 10); err == nil {
 		t.Error("unknown dataset should fail")
+	}
+}
+
+// TestStartUpdatesReportsFailures: upserts the dataset rejects are
+// counted and returned from stop, never dropped.
+func TestStartUpdatesReportsFailures(t *testing.T) {
+	tuning := cluster.DefaultTuning()
+	tuning.DispatchOverheadPerNode = 0
+	tuning.InvokeOverheadPerNode = 0
+	c, err := cluster.New(1, tuning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// The generated SafetyRatings updates carry no such key field, so
+	// every upsert fails.
+	if _, err := c.CreateDataset("SafetyRatings", "", "no_such_key"); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := StartUpdates(context.Background(), c, NewGenerator(7, Scaled(0.001)), "SafetyRatings", 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	err = stop()
+	if err == nil {
+		t.Fatal("stop reported no error for an update stream whose upserts all failed")
+	}
+	if !strings.Contains(err.Error(), "no_such_key") {
+		t.Errorf("stop error %q does not carry the first upsert error", err)
 	}
 }
 
