@@ -1,9 +1,11 @@
 // Package query implements SQL++ evaluation: a scalar expression
-// evaluator with the paper's builtin function library, a generic query
-// executor (scan → join → filter → group → order → limit → project), and
-// the enrichment planner that compiles a stateful UDF into the per-batch
-// build phase / per-record probe phase split described in Section 4.3 of
-// the paper.
+// evaluator with the paper's builtin function library, one pull-based
+// SELECT executor (scan → join → filter → group → order → project →
+// limit, see RowCursor) that runs top-level queries and subqueries
+// alike, and the enrichment planner that compiles a stateful UDF into
+// the per-batch build phase / per-record probe phase split described in
+// Section 4.3 of the paper. A compiled probe hands its matched tuples to
+// the same executor's row operators.
 package query
 
 import (
@@ -122,38 +124,26 @@ func (c *Context) Pin(name string) ([]*lsm.Snapshot, error) {
 }
 
 // evalState threads per-evaluation context through the evaluator without
-// mutating shared state: st.group carries the current GROUP BY group for
-// aggregate calls; st.prepared intercepts compiled subqueries during
-// enrichment probing. evalState is passed by value.
+// mutating shared state: st.aggVals holds the current group's aggregate
+// values while a grouped row is ordered or projected; st.prepared
+// intercepts compiled subqueries during enrichment probing; st.depth
+// bounds SELECT and UDF nesting. Subqueries inherit all but aggVals.
+// evalState is passed by value.
 type evalState struct {
 	ctx      *Context
-	group    []*Env
-	groupSet bool // true inside a GROUP BY context, even for empty groups
 	aggVals  map[*sqlpp.Call]adm.Value
 	prepared *PreparedEnrich
 	depth    int
 }
 
-func (st evalState) withGroup(group []*Env) evalState {
-	st.group = group
-	st.groupSet = true
-	st.aggVals = nil
-	return st
-}
-
-// withAggVals enters a streaming-aggregation context: aggregate calls
-// resolve to pre-accumulated values instead of re-scanning a buffered
-// group (the streaming hash aggregate never keeps raw tuples around).
+// withAggVals enters a group context: aggregate calls resolve to the
+// values the streaming hash aggregate accumulated for the group.
 func (st evalState) withAggVals(vals map[*sqlpp.Call]adm.Value) evalState {
-	st.group = nil
-	st.groupSet = true
 	st.aggVals = vals
 	return st
 }
 
 func (st evalState) noGroup() evalState {
-	st.group = nil
-	st.groupSet = false
 	st.aggVals = nil
 	return st
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // Eval evaluates a SQL++ expression in the given environment. It is the
-// public entry point for ad-hoc expression evaluation; queries go
-// through ExecuteSelect.
+// public entry point for ad-hoc expression evaluation; a SELECT in it
+// runs through the cursor executor and evaluates to its rows as an
+// array. Queries that stream their rows use ExecuteSelectCursor.
 func Eval(ctx *Context, env *Env, e sqlpp.Expr) (adm.Value, error) {
 	return eval(evalState{ctx: ctx}, env, e)
 }
@@ -89,23 +90,28 @@ func eval(st evalState, env *Env, e sqlpp.Expr) (adm.Value, error) {
 	return adm.Value{}, fmt.Errorf("query: unsupported expression %T", e)
 }
 
-// evalSubquery routes a SELECT used as an expression either to the
-// prepared enrichment probe (when compiled) or to the generic executor.
+// evalSubquery evaluates a SELECT used as an expression: through the
+// prepared enrichment probe when it was compiled, else through a cursor
+// drained into an array.
 func evalSubquery(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error) {
 	if st.prepared != nil {
 		if v, ok, err := st.prepared.evalCompiled(st, env, sel); ok || err != nil {
 			return v, err
 		}
 	}
-	return executeSelect(st.noGroup(), env, sel)
+	rc, err := openSelect(st, env, sel, false)
+	if err != nil {
+		return adm.Value{}, err
+	}
+	return rc.collect()
 }
 
 func evalCall(st evalState, env *Env, call *sqlpp.Call) (adm.Value, error) {
-	// Aggregates: only meaningful with a group context; as a scalar they
-	// fall through to the collection (array_*) interpretation below.
+	// Aggregates: in a group context they resolve to the group's values;
+	// as a scalar they fold the array their argument evaluates to.
 	if call.Ns == "" && IsAggregate(strings.ToLower(call.Name)) {
 		if st.aggVals != nil {
-			// Streaming hash aggregate: the group was folded into
+			// The streaming hash aggregate folded the group into
 			// per-call accumulators as tuples flowed by; a call missing
 			// from the map means the collector failed to enumerate it.
 			if v, ok := st.aggVals[call]; ok {
@@ -113,11 +119,11 @@ func evalCall(st evalState, env *Env, call *sqlpp.Call) (adm.Value, error) {
 			}
 			return adm.Value{}, fmt.Errorf("query: internal: aggregate %s not pre-accumulated", call.Name)
 		}
-		if st.groupSet {
-			return evalAggregate(st, call)
-		}
 		if call.Star {
 			return adm.Value{}, fmt.Errorf("query: %s(*) outside GROUP BY", call.Name)
+		}
+		if len(call.Args) != 1 {
+			return adm.Value{}, fmt.Errorf("query: aggregate %s expects 1 argument", call.Name)
 		}
 		arg, err := eval(st, env, call.Args[0])
 		if err != nil {
@@ -420,11 +426,17 @@ func evalExists(st evalState, env *Env, n *sqlpp.Exists) (adm.Value, error) {
 			return adm.Bool(found), nil
 		}
 	}
-	v, err := executeSelect(st.noGroup(), env, n.Sub)
+	rc, err := openSelect(st, env, n.Sub, false)
 	if err != nil {
 		return adm.Value{}, err
 	}
-	return adm.Bool(len(v.ArrayVal()) > 0), nil
+	// The first row decides; closing stops the scan there.
+	_, found, err := rc.Next()
+	rc.Close()
+	if err != nil {
+		return adm.Value{}, err
+	}
+	return adm.Bool(found), nil
 }
 
 func evalIn(st evalState, env *Env, n *sqlpp.In) (adm.Value, error) {

@@ -8,17 +8,11 @@ import (
 	"github.com/ideadb/idea/internal/sqlpp"
 )
 
+// execStr runs one query the way a subquery runs: a cursor drained into
+// an array.
 func execStr(t *testing.T, cat Catalog, env *Env, src string) adm.Value {
 	t.Helper()
-	e, err := sqlpp.ParseExpr(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	sel, ok := e.(*sqlpp.SelectExpr)
-	if !ok {
-		t.Fatalf("%q is not a query", src)
-	}
-	v, err := ExecuteSelect(NewContext(cat), env, sel)
+	v, err := Eval(NewContext(cat), env, mustSel(t, src))
 	if err != nil {
 		t.Fatalf("exec %q: %v", src, err)
 	}
@@ -278,7 +272,7 @@ func TestExecuteAnalyticalQueryFig9Shape(t *testing.T) {
 func TestExecuteErrorUnknownFromSource(t *testing.T) {
 	cat := newTestCatalog()
 	e, _ := sqlpp.ParseExpr(`SELECT VALUE x FROM NoSuchDataset x`)
-	if _, err := ExecuteSelect(NewContext(cat), nil, e.(*sqlpp.SelectExpr)); err == nil {
+	if _, err := Eval(NewContext(cat), nil, e); err == nil {
 		t.Error("unknown dataset should fail")
 	}
 }

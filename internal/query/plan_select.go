@@ -33,17 +33,63 @@ import (
 //     WHERE conjuncts are evaluated inside the scan workers.
 //  3. Serial scan — everything else.
 func ExecuteSelectCursor(ctx *Context, env *Env, sel *sqlpp.SelectExpr) (*RowCursor, error) {
-	st, err := evalState{ctx: ctx}.deeper()
+	return openSelect(evalState{ctx: ctx}, env, sel, true)
+}
+
+// openSelect plans and opens a cursor for sel under the caller's state,
+// so a subquery keeps its nesting depth and the prepared enrichment
+// state of the record it serves. explain builds the text Plan reports;
+// subqueries, whose plans nobody reads, skip it.
+func openSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, explain bool) (*RowCursor, error) {
+	st, err := st.noGroup().deeper()
 	if err != nil {
 		return nil, err
 	}
-	rc := &RowCursor{st: st, sel: sel, limit: -1}
 	for _, l := range sel.Lets {
 		v, err := eval(st, env, l.Expr)
 		if err != nil {
 			return nil, err
 		}
 		env = Bind(env, l.Name, v)
+	}
+	rc, err := newRowCursor(st, sel, explain)
+	if err != nil {
+		return nil, err
+	}
+
+	// Pin the snapshots of every dataset named in FROM position now,
+	// before returning the cursor: the caller's consistency contract is
+	// "the data as of the Query call", not "as of the first Next".
+	// (Datasets touched only inside subqueries or UDFs pin on first
+	// access, per the Context rule.)
+	scope := env
+	for _, fc := range sel.From {
+		if id, isIdent := fc.Source.(*sqlpp.Ident); isIdent {
+			if _, bound := scope.Lookup(id.Name); !bound && st.ctx.Catalog != nil {
+				if _, isDS := st.ctx.Catalog.Dataset(id.Name); isDS {
+					if _, err := st.ctx.Pin(id.Name); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+		// Later FROM clauses may reference this alias; approximate the
+		// scope by binding it to MISSING (only presence matters here).
+		scope = Bind(scope, fc.Alias, adm.Missing())
+	}
+
+	if err := rc.planSelect(env); err != nil {
+		return nil, err
+	}
+	return rc, nil
+}
+
+// newRowCursor starts a cursor for sel under st and evaluates its LIMIT,
+// which binds once per SELECT; the caller then stacks the pipeline.
+func newRowCursor(st evalState, sel *sqlpp.SelectExpr, explain bool) (*RowCursor, error) {
+	rc := &RowCursor{st: st, sel: sel, limit: -1}
+	if explain {
+		rc.plan = new(strings.Builder)
 	}
 	if sel.Limit != nil {
 		lv, err := eval(st, nil, sel.Limit)
@@ -56,61 +102,31 @@ func ExecuteSelectCursor(ctx *Context, env *Env, sel *sqlpp.SelectExpr) (*RowCur
 		}
 		rc.limit = n
 	}
-
-	// Pin the snapshots of every dataset named in FROM position now,
-	// before returning the cursor: the caller's consistency contract is
-	// "the data as of the Query call", not "as of the first Next".
-	// (Datasets touched only inside subqueries or UDFs pin on first
-	// access, per the Context rule.)
-	scope := env
-	for _, fc := range sel.From {
-		if id, isIdent := fc.Source.(*sqlpp.Ident); isIdent {
-			if _, bound := scope.Lookup(id.Name); !bound && ctx.Catalog != nil {
-				if _, isDS := ctx.Catalog.Dataset(id.Name); isDS {
-					if _, err := ctx.Pin(id.Name); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		// Later FROM clauses may reference this alias; approximate the
-		// scope by binding it to MISSING (only presence matters here).
-		scope = Bind(scope, fc.Alias, adm.Missing())
-	}
-
-	rows, plan, err := planSelect(st, env, sel, rc.limit)
-	if err != nil {
-		return nil, err
-	}
-	rc.rows = rows
-	rc.plan = plan
 	if sel.Distinct {
 		rc.dedup = newValueDedup()
 	}
 	return rc, nil
 }
 
-// planSelect assembles the operator pipeline under the base env (with
-// leading LETs already bound) and returns it with its plan string.
-func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64) (rowSrc, string, error) {
-	grouped := len(sel.GroupBy) > 0 || selectHasAggregate(sel)
-	var aggCalls []*sqlpp.Call
-	if grouped {
-		aggCalls = collectSelectAggs(sel)
-	}
+// planSelect assembles the tuple half of the pipeline (FROM, FROM-LETs,
+// WHERE) under the base env, with leading LETs already bound, and
+// stacks the row half on it.
+func (rc *RowCursor) planSelect(env *Env) error {
+	st, sel := rc.st, rc.sel
+	aggCalls := collectSelectAggs(sel)
+	grouped := len(sel.GroupBy) > 0 || len(aggCalls) > 0
 
-	var steps []string
 	var cur tupleCursor
 	wherePushed := false
 	orderHandled := false
 	reuse := false
 
 	if len(sel.From) > 0 {
-		leaf, desc, pushed, keyOrdered, ok, err := planScanLeaf(st, env, sel, grouped, aggCalls, limit)
+		leaf, pushed, keyOrdered, err := rc.planScanLeaf(env, grouped, aggCalls)
 		if err != nil {
-			return nil, "", err
+			return err
 		}
-		if ok {
+		if leaf != nil {
 			// Env-reuse mode: the scan leaf recycles one binding box per
 			// record, so the bounded top-k heap and the streaming hash
 			// aggregate run allocation-flat. Only legal when nothing
@@ -121,107 +137,118 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64) (row
 			// (copyRep, one snapshot per new group).
 			safeWhere := sel.Where == nil || pushed || safeParallelPred(sel.Where)
 			topkReuse := !grouped && len(sel.OrderBy) > 0 && !keyOrdered &&
-				limit >= 0 && !sel.Distinct
+				rc.limit >= 0 && !sel.Distinct
 			reuse = len(sel.From) == 1 && len(sel.FromLets) == 0 && safeWhere &&
 				(topkReuse || grouped)
 			cur = &scanFromCursor{base: env, alias: sel.From[0].Alias, leaf: leaf, reuse: reuse}
-			steps = append(steps, desc)
 			wherePushed = pushed
 			orderHandled = keyOrdered
 		}
 	}
-	if cur == nil {
-		cur = &singleCursor{env: env}
+	first := 0
+	if cur != nil {
+		first = 1 // the planned leaf covers the first clause
+	} else {
+		rc.seed = singleCursor{env: env}
+		cur = &rc.seed
 	}
-	for i, fc := range sel.From {
-		if i == 0 && len(steps) > 0 {
-			continue // planned leaf covers the first clause
-		}
+	for _, fc := range sel.From[first:] {
 		cur = &fromCursor{st: st, outer: cur, src: fc.Source, alias: fc.Alias}
-		steps = append(steps, "from("+fc.Alias+")")
+		rc.note("from(%s)", fc.Alias)
 	}
 	if len(sel.FromLets) > 0 {
 		cur = &letCursor{st: st, inner: cur, lets: sel.FromLets}
-		steps = append(steps, "let")
+		rc.note("let")
 	}
 	if sel.Where != nil && !wherePushed {
 		cur = &filterCursor{st: st, inner: cur, pred: sel.Where}
-		steps = append(steps, "filter")
+		rc.note("filter")
 	}
+	rc.planRows(cur, aggCalls, reuse, orderHandled)
+	return nil
+}
 
-	var rows rowSrc
+// planRows stacks the row half of a SELECT on a tuple stream: the
+// streaming hash aggregate (or the plain tuple→row adapter), then top-k
+// or a full sort unless the scan already delivers key order. Next
+// projects each row and applies DISTINCT and LIMIT. The cursor planner
+// and the enrichment probe, over the tuples it matched, both end here.
+// reuse says the tuples arrive in a recycled binding box, which the
+// consumers must copy before retaining.
+func (rc *RowCursor) planRows(cur tupleCursor, aggCalls []*sqlpp.Call, reuse, orderHandled bool) {
+	sel := rc.sel
+	grouped := len(sel.GroupBy) > 0 || len(aggCalls) > 0
 	if grouped {
-		rows = &aggRows{st: st, inner: cur, keys: sel.GroupBy, calls: aggCalls, copyRep: reuse}
-		steps = append(steps, fmt.Sprintf("aggregate(%dkeys,%daggs)", len(sel.GroupBy), len(aggCalls)))
+		rc.rows = &aggRows{st: rc.st, inner: cur, keys: sel.GroupBy, calls: aggCalls, copyRep: reuse}
+		rc.note("aggregate(%dkeys,%daggs)", len(sel.GroupBy), len(aggCalls))
 	} else {
-		rows = &tupleRows{inner: cur}
+		rc.adapter = tupleRows{inner: cur}
+		rc.rows = &rc.adapter
 	}
 	switch {
 	case orderHandled:
-		steps = append(steps, "ordered-by-key")
+		rc.note("ordered-by-key")
 	case len(sel.OrderBy) > 0:
 		k := int64(-1)
-		if limit >= 0 && !sel.Distinct {
+		if rc.limit >= 0 && !sel.Distinct {
 			// DISTINCT limits distinct projected rows, not input rows, so
 			// the heap cannot be bounded under it.
-			k = limit
+			k = rc.limit
 		}
 		// Grouped rows carry per-group envs already (aggRows copied the
 		// representatives); only raw scan rows need copying on accept.
-		rows = &topkRows{st: st, inner: rows, orderBy: sel.OrderBy, k: k, copyEnv: reuse && !grouped}
+		rc.rows = &topkRows{st: rc.st, inner: rc.rows, orderBy: sel.OrderBy, k: k, copyEnv: reuse && !grouped}
 		if k >= 0 {
-			steps = append(steps, fmt.Sprintf("topk(%d)", k))
+			rc.note("topk(%d)", k)
 		} else {
-			steps = append(steps, "sort")
+			rc.note("sort")
 		}
 	}
-	steps = append(steps, "project")
+	rc.note("project")
 	if sel.Distinct {
-		steps = append(steps, "distinct")
+		rc.note("distinct")
 	}
-	if limit >= 0 {
-		steps = append(steps, fmt.Sprintf("limit(%d)", limit))
+	if rc.limit >= 0 {
+		rc.note("limit(%d)", rc.limit)
 	}
-	return rows, strings.Join(steps, "→"), nil
 }
 
 // planScanLeaf builds the record stream for the first FROM clause when
 // it names a dataset: an index range probe, a parallel partition scan,
-// or a serial scan. ok=false means the clause is not a plannable
+// or a serial scan. A nil leaf means the clause is not a plannable
 // dataset scan (expression source, shadowed name) and the generic
 // fromCursor path applies.
-func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, aggCalls []*sqlpp.Call, limit int64) (leaf collCursor, desc string, pushed, keyOrdered, ok bool, err error) {
+func (rc *RowCursor) planScanLeaf(env *Env, grouped bool, aggCalls []*sqlpp.Call) (leaf collCursor, pushed, keyOrdered bool, err error) {
+	st, sel := rc.st, rc.sel
 	fc := sel.From[0]
 	id, isIdent := fc.Source.(*sqlpp.Ident)
 	if !isIdent || st.ctx.Catalog == nil {
-		return nil, "", false, false, false, nil
+		return nil, false, false, nil
 	}
 	if _, bound := env.Lookup(id.Name); bound {
-		return nil, "", false, false, false, nil
+		return nil, false, false, nil
 	}
 	ds, isDS := st.ctx.Catalog.Dataset(id.Name)
 	if !isDS {
-		return nil, "", false, false, false, nil
+		return nil, false, false, nil
 	}
 	snaps, err := st.ctx.Pin(id.Name)
 	if err != nil {
-		return nil, "", false, false, false, err
+		return nil, false, false, err
 	}
 
 	// 1. Index pushdown.
 	if !st.ctx.DisableIndexScan && sel.Where != nil {
 		if field, idxName, idxs, lo, hi, found := pickIndexRange(st.ctx, ds, fc.Alias, sel.Where); found {
-			sc := lsm.NewIndexScanCursor(snaps, idxs, lo, hi)
-			return &indexScanColl{sc: sc},
-				fmt.Sprintf("iscan(%s.%s on %s)", id.Name, idxName, field),
-				false, false, true, nil
+			rc.note("iscan(%s.%s on %s)", id.Name, idxName, field)
+			return &indexScanColl{sc: lsm.NewIndexScanCursor(snaps, idxs, lo, hi)}, false, false, nil
 		}
 	}
 
 	// 2. Parallel partition scan.
 	parts := len(snaps)
 	blocking := grouped || len(sel.OrderBy) > 0
-	if !st.ctx.DisableParallelScan && parts > 1 && (blocking || limit < 0) {
+	if !st.ctx.DisableParallelScan && parts > 1 && (blocking || rc.limit < 0) {
 		order := lsm.PartitionOrder
 		if !grouped && orderByIsPkAsc(sel, fc.Alias, ds.PrimaryKey()) {
 			order = lsm.KeyOrder
@@ -230,6 +257,7 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 			order = lsm.Unordered
 		}
 		var filter func(key, rec adm.Value) (bool, error)
+		suffix := ""
 		if sel.Where != nil && len(sel.From) == 1 && len(sel.FromLets) == 0 && safeParallelPred(sel.Where) {
 			where, alias, base, fst := sel.Where, fc.Alias, env, st
 			// Workers call the filter concurrently; each call borrows a
@@ -246,19 +274,15 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 				}
 				return Truthy(v), nil
 			}
-			pushed = true
+			pushed, suffix = true, "+filter"
 		}
-		pc := lsm.NewParallelScanCursor(snaps, filter, order, 0)
-		desc = fmt.Sprintf("pscan(%s,%s,%d)", id.Name, orderName(order), parts)
-		if pushed {
-			desc += "+filter"
-		}
-		return &parallelColl{pc: pc}, desc, pushed, keyOrdered, true, nil
+		rc.note("pscan(%s,%s,%d)%s", id.Name, orderName(order), parts, suffix)
+		return &parallelColl{pc: lsm.NewParallelScanCursor(snaps, filter, order, 0)}, pushed, keyOrdered, nil
 	}
 
 	// 3. Serial scan.
-	return &datasetCursor{sc: lsm.NewScanCursor(snaps)},
-		fmt.Sprintf("scan(%s)", id.Name), false, false, true, nil
+	rc.note("scan(%s)", id.Name)
+	return &datasetCursor{sc: lsm.NewScanCursor(snaps)}, false, false, nil
 }
 
 func orderName(o lsm.ScanOrder) string {
@@ -461,6 +485,7 @@ func sargable(e sqlpp.Expr, alias string, params map[string]adm.Value) (field, o
 	return "", "", adm.Value{}, false
 }
 
+// aliasField matches alias.field and returns the field name.
 func aliasField(e sqlpp.Expr, alias string) (string, bool) {
 	fa, ok := e.(*sqlpp.FieldAccess)
 	if !ok {

@@ -494,20 +494,24 @@ func TestEnrichIndexNLJSeesLiveUpdates(t *testing.T) {
 	}
 }
 
+// highRiskTweetCheckDDL is the paper's Fig 18 UDF: its subquery has no
+// free variables.
+const highRiskTweetCheckDDL = `CREATE FUNCTION highRiskTweetCheck(t) {
+	LET high_risk_flag = CASE
+		t.country IN (SELECT VALUE s.country
+			FROM SensitiveWords s
+			GROUP BY s.country
+			ORDER BY count(s) DESC
+			LIMIT 10)
+		WHEN true THEN "Red" ELSE "Green" END
+	SELECT t.*, high_risk_flag
+};`
+
 // TestEnrichConstSubquery: the Fig 18 pattern — a fully-uncorrelated
 // subquery is evaluated once per batch.
 func TestEnrichConstSubquery(t *testing.T) {
 	cat := paperCatalog(t)
-	cat.addSQLFunction(t, `CREATE FUNCTION highRiskTweetCheck(t) {
-		LET high_risk_flag = CASE
-			t.country IN (SELECT VALUE s.country
-				FROM SensitiveWords s
-				GROUP BY s.country
-				ORDER BY count(s) DESC
-				LIMIT 10)
-			WHEN true THEN "Red" ELSE "Green" END
-		SELECT t.*, high_risk_flag
-	};`)
+	cat.addSQLFunction(t, highRiskTweetCheckDDL)
 	plan := compilePaperUDF(t, cat, "highRiskTweetCheck", PlanOptions{})
 	desc := plan.Describe()
 	if len(desc) != 1 || desc[0] != "const" {

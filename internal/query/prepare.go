@@ -112,7 +112,7 @@ func (pe *PreparedEnrich) refreshIn(ctx *Context) error {
 	for _, sel := range pe.plan.order {
 		switch sp := pe.plan.subs[sel]; sp.kind {
 		case constSub:
-			v, err := ExecuteSelect(ctx, nil, sel)
+			v, err := evalSubquery(evalState{ctx: ctx}, nil, sel)
 			if err != nil {
 				return fmt.Errorf("query: %s: const subquery: %w", pe.plan.Name, err)
 			}
@@ -362,7 +362,9 @@ func (pe *PreparedEnrich) Context() *Context { return pe.ctx }
 
 // evalCompiled intercepts a compiled subquery during expression
 // evaluation. ok=false means the subquery was not compiled and the
-// caller should use the generic path.
+// caller should use the generic path. A probe's matched tuples run
+// through the cursor's row operators: aggregate, order, project,
+// DISTINCT and LIMIT.
 func (pe *PreparedEnrich) evalCompiled(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, bool, error) {
 	if v, isConst := pe.consts[sel]; isConst {
 		return v, true, nil
@@ -371,15 +373,19 @@ func (pe *PreparedEnrich) evalCompiled(st evalState, env *Env, sel *sqlpp.Select
 	if !isProbe {
 		return adm.Value{}, false, nil
 	}
-	var tuples []*Env
-	err := ps.forEachTuple(st, env, func(tu *Env) bool {
-		tuples = append(tuples, tu)
+	rc, err := newRowCursor(st.noGroup(), sel, false)
+	if err != nil {
+		return adm.Value{}, true, err
+	}
+	err = ps.forEachTuple(st, env, func(tu *Env) bool {
+		rc.matched.tuples = append(rc.matched.tuples, tu)
 		return true
 	})
 	if err != nil {
 		return adm.Value{}, true, err
 	}
-	v, err := finishSelect(st.noGroup(), sel, tuples)
+	rc.planRows(&rc.matched, collectSelectAggs(sel), false, false)
+	v, err := rc.collect()
 	return v, true, err
 }
 

@@ -25,18 +25,24 @@ import (
 //
 // The plan — including index pushdown and parallel partition scans —
 // is chosen by ExecuteSelectCursor (see plan_select.go) and reported
-// by Plan. The eager executor (exec.go) remains for expression-position
-// subqueries and the enrichment probe path; top-level SELECTs never
-// fall back to it.
+// by Plan. It is the only SELECT executor: subqueries and EXISTS open
+// one too (EXISTS stops at the first row), and a compiled enrichment
+// probe feeds the tuples it matched to the same row operators.
 type RowCursor struct {
 	st   evalState
 	sel  *sqlpp.SelectExpr
 	rows rowSrc
-	plan string
+	plan *strings.Builder // plan text; nil when nobody reads it
 
 	limit int64 // rows still to emit; -1 = unlimited
 	dedup *valueDedup
 	done  bool
+
+	// The fixed head of the pipeline is allocated with the cursor, so a
+	// subquery opened per record pays one allocation for all three.
+	seed    singleCursor // seed of the FROM product
+	matched tupleSlice   // the enrichment probe's matched tuples
+	adapter tupleRows    // tuple→row adapter of ungrouped queries
 }
 
 // Next returns the next result row. After ok=false (exhaustion or
@@ -95,7 +101,39 @@ func (rc *RowCursor) Close() {
 // "iscan(Events.by_grp on grp)→filter→project→limit(4)". Tests assert
 // planner decisions (index use, parallelism) against it rather than
 // inferring them from timing.
-func (rc *RowCursor) Plan() string { return rc.plan }
+func (rc *RowCursor) Plan() string {
+	if rc.plan == nil {
+		return ""
+	}
+	return rc.plan.String()
+}
+
+// note appends one operator to the plan text of an explained cursor.
+func (rc *RowCursor) note(format string, args ...any) {
+	if rc.plan == nil {
+		return
+	}
+	if rc.plan.Len() > 0 {
+		rc.plan.WriteString("→")
+	}
+	fmt.Fprintf(rc.plan, format, args...)
+}
+
+// collect drains the cursor into an array: the value of a SELECT used
+// as an expression.
+func (rc *RowCursor) collect() (adm.Value, error) {
+	var out []adm.Value
+	for {
+		v, ok, err := rc.Next()
+		if err != nil {
+			return adm.Value{}, err
+		}
+		if !ok {
+			return adm.Array(out), nil
+		}
+		out = append(out, v)
+	}
+}
 
 // --- row operators (post-FROM exchange) ---
 
@@ -237,9 +275,9 @@ type aggGroup struct {
 }
 
 // aggRows is the streaming hash aggregate: tuples fold into per-group
-// accumulators as they arrive (first-seen group order, matching the
-// eager executor), and only the group table — representative env, key
-// values, accumulators — is retained. Raw tuples are never buffered.
+// accumulators as they arrive (first-seen group order), and only the
+// group table — representative env, key values, accumulators — is
+// retained. Raw tuples are never buffered.
 type aggRows struct {
 	st    evalState
 	inner tupleCursor
@@ -387,7 +425,7 @@ func (a *aggRows) newGroup(tu *Env, kv []adm.Value) (*aggGroup, error) {
 // evaluates — SELECT list/value and ORDER BY keys (the clauses that run
 // under the group context). Calls nested inside another aggregate's
 // argument are excluded: they evaluate as scalar collection functions
-// during accumulation, exactly as in the eager executor.
+// during accumulation.
 func collectSelectAggs(sel *sqlpp.SelectExpr) []*sqlpp.Call {
 	var out []*sqlpp.Call
 	collectAggCalls(sel.SelectValue, &out)
@@ -455,7 +493,7 @@ type topkEntry struct {
 // LIMIT-k sort costs O(n log k) time and O(k) memory. With k < 0 (no
 // LIMIT, or DISTINCT under the limit) every row is retained and sorted
 // — the graceful degeneration to a full sort. Ties preserve arrival
-// order, matching the eager executor's stable sort.
+// order, like a stable sort.
 type topkRows struct {
 	st      evalState
 	inner   rowSrc
@@ -664,6 +702,20 @@ func (s *singleCursor) next() (*Env, bool, error) {
 }
 
 func (s *singleCursor) close() {}
+
+// tupleSlice replays tuples gathered beforehand.
+type tupleSlice struct{ tuples []*Env }
+
+func (s *tupleSlice) next() (*Env, bool, error) {
+	if len(s.tuples) == 0 {
+		return nil, false, nil
+	}
+	tu := s.tuples[0]
+	s.tuples = s.tuples[1:]
+	return tu, true, nil
+}
+
+func (s *tupleSlice) close() {}
 
 // scanFromCursor is the planned leaf: it binds the first FROM clause's
 // alias over a pre-built record stream (serial scan, index range scan,
@@ -879,8 +931,7 @@ func (c *parallelColl) close() { c.pc.Close() }
 
 // openFromSource resolves one FROM source into a streaming cursor: an
 // in-scope binding, a dataset scan over the pinned snapshots, or any
-// collection-valued expression. It mirrors fromCollection but never
-// copies a dataset into a slice.
+// collection-valued expression. A dataset is never copied into a slice.
 func openFromSource(st evalState, env *Env, src sqlpp.Expr) (collCursor, error) {
 	if id, ok := src.(*sqlpp.Ident); ok {
 		if v, bound := env.Lookup(id.Name); bound {

@@ -304,7 +304,7 @@ func TestCursorMatchesEagerRandomized(t *testing.T) {
 			t.Fatalf("%s: empty plan", q)
 		}
 		got := drainCursor(t, rc)
-		want := execStr(t, cat, nil, q).ArrayVal()
+		want := eagerStr(t, cat, nil, q).ArrayVal()
 
 		exact := !strings.Contains(plan, "iscan(") || strings.Contains(q, "ORDER BY")
 		if exact {

@@ -78,7 +78,7 @@ func TestCursorMatchesEagerExecutor(t *testing.T) {
 		`SELECT VALUE count(*) FROM Events e WHERE e.score = 0`,
 	}
 	for _, q := range queries {
-		want := execStr(t, cat, nil, q).ArrayVal()
+		want := eagerStr(t, cat, nil, q).ArrayVal()
 		got := cursorStr(t, cat, nil, q)
 		if len(got) != len(want) {
 			t.Errorf("%s:\n cursor %d rows, eager %d rows", q, len(got), len(want))

@@ -223,6 +223,23 @@ func TestQueryContextCancellation(t *testing.T) {
 	}
 }
 
+// TestQueryAggregateWithoutArgument: an aggregate called with no
+// argument fails the query with an error; it must not panic, which over
+// the wire would take the server process down.
+func TestQueryAggregateWithoutArgument(t *testing.T) {
+	c := newTestCluster(t)
+	rows, err := c.Query(context.Background(), `SELECT VALUE x FROM [1, 2] x WHERE count() = 0`)
+	if err == nil {
+		defer rows.Close()
+		for rows.Next() {
+		}
+		err = rows.Err()
+	}
+	if err == nil || !strings.Contains(err.Error(), "expects 1 argument") {
+		t.Fatalf("error = %v, want the aggregate's argument-count error", err)
+	}
+}
+
 func TestRowsEarlyCloseAndReuse(t *testing.T) {
 	c := newTestCluster(t)
 	c.MustExecute(`
