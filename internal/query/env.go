@@ -82,10 +82,12 @@ type Context struct {
 	// running to completion. Nil means "never cancelled".
 	Std context.Context
 
-	// DisableIndexScan and DisableParallelScan switch off the
-	// corresponding planner rewrites (see plan_select.go). They exist so
-	// benchmarks and plan tests can compare strategies on one dataset;
-	// production callers leave them false.
+	// DisableIndexScan switches off every WHERE pushdown into the scan
+	// leaf — the primary-key point lookup and the secondary-index range
+	// probe — so the query runs as a full scan; DisableParallelScan
+	// switches off the parallel partition scan (see plan_select.go).
+	// They exist so benchmarks and plan tests can compare strategies on
+	// one dataset; production callers leave them false.
 	DisableIndexScan    bool
 	DisableParallelScan bool
 

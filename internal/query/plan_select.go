@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -17,6 +18,11 @@ import (
 //
 // Planning decisions, in order:
 //
+//  0. Primary-key point lookup — an equality conjunct `alias.pk = c`
+//     on the first FROM dataset, c a literal or bound parameter,
+//     becomes one Get on the owning partition's pinned snapshot, made
+//     when the cursor opens; the leaf yields at most that one record.
+//     The full WHERE stays as a residual filter.
 //  1. Index pushdown — an equality or range conjunct on a
 //     field-indexed column of the first FROM dataset becomes a
 //     secondary-index range probe resolved through the primary,
@@ -214,10 +220,10 @@ func (rc *RowCursor) planRows(cur tupleCursor, aggCalls []*sqlpp.Call, reuse, or
 }
 
 // planScanLeaf builds the record stream for the first FROM clause when
-// it names a dataset: an index range probe, a parallel partition scan,
-// or a serial scan. A nil leaf means the clause is not a plannable
-// dataset scan (expression source, shadowed name) and the generic
-// fromCursor path applies.
+// it names a dataset: a primary-key point lookup, an index range probe,
+// a parallel partition scan, or a serial scan. A nil leaf means the
+// clause is not a plannable dataset scan (expression source, shadowed
+// name) and the generic fromCursor path applies.
 func (rc *RowCursor) planScanLeaf(env *Env, grouped bool, aggCalls []*sqlpp.Call) (leaf collCursor, pushed, keyOrdered bool, err error) {
 	st, sel := rc.st, rc.sel
 	fc := sel.From[0]
@@ -237,8 +243,21 @@ func (rc *RowCursor) planScanLeaf(env *Env, grouped bool, aggCalls []*sqlpp.Call
 		return nil, false, false, err
 	}
 
+	pushdown := !st.ctx.DisableIndexScan && sel.Where != nil && !aliasRebound(sel, fc.Alias)
+
+	// 0. Primary-key point lookup.
+	if pushdown {
+		if key, found := pickPrimaryKey(st.ctx, ds, fc.Alias, sel.Where); found {
+			rc.note("pkget(%s.%s)", id.Name, ds.PrimaryKey())
+			if rec, ok := snaps[ds.Route(key)].Get(key); ok {
+				return &singleValueCursor{v: rec}, false, false, nil
+			}
+			return &sliceCursor{}, false, false, nil
+		}
+	}
+
 	// 1. Index pushdown.
-	if !st.ctx.DisableIndexScan && sel.Where != nil {
+	if pushdown {
 		if field, idxName, idxs, lo, hi, found := pickIndexRange(st.ctx, ds, fc.Alias, sel.Where); found {
 			rc.note("iscan(%s.%s on %s)", id.Name, idxName, field)
 			return &indexScanColl{sc: lsm.NewIndexScanCursor(snaps, idxs, lo, hi)}, false, false, nil
@@ -419,6 +438,69 @@ func safeParallelPred(e sqlpp.Expr) bool {
 }
 
 // --- sargable predicate extraction ---
+
+// aliasRebound reports whether a later FROM clause or a FROM-LET
+// rebinds alias, so a WHERE reference to it may not mean the first
+// FROM clause's records and no conjunct can be pushed into that scan.
+func aliasRebound(sel *sqlpp.SelectExpr, alias string) bool {
+	for _, fc := range sel.From[1:] {
+		if fc.Alias == alias {
+			return true
+		}
+	}
+	for _, l := range sel.FromLets {
+		if l.Name == alias {
+			return true
+		}
+	}
+	return false
+}
+
+// pickPrimaryKey scans the WHERE conjuncts for `alias.pk = const` and
+// returns the key a point lookup must probe. The first usable conjunct
+// wins; the residual filter applies the rest.
+func pickPrimaryKey(ctx *Context, ds *lsm.Dataset, alias string, where sqlpp.Expr) (adm.Value, bool) {
+	for _, conj := range splitConjuncts(where) {
+		f, op, v, ok := sargable(conj, alias, ctx.Params)
+		if !ok || op != "=" || f != ds.PrimaryKey() {
+			continue
+		}
+		if key, ok := pointKey(ds, v); ok {
+			return key, true
+		}
+	}
+	return adm.Value{}, false
+}
+
+// pointKey converts the constant of `pk = c` into the key one Get must
+// probe so that it finds exactly the records the scan's `=` accepts,
+// or reports false when only the scan is exact. SQL++ `=` is false
+// across kinds, and adm.Hash and adm.Compare promote numerics alike,
+// so routing and the tree walk agree with the scan for a constant of
+// the stored keys' kind. Run bloom filters hash a key's binary
+// encoding, so the probe must carry that kind exactly: the pk's
+// declared kind when the datatype names one, else the constant's own
+// (an untyped int64 constant assumes int64 keys; an untyped double
+// keeps the scan). A double probes an int64 key only when it converts
+// exactly and |v| < 2^53; past that, float promotion makes it equal
+// to several int64 keys (2^53 and 2^53+1 both promote to 2^53).
+func pointKey(ds *lsm.Dataset, c adm.Value) (adm.Value, bool) {
+	keyKind := c.Kind()
+	if dt := ds.Datatype(); dt != nil {
+		if f, ok := dt.Field(ds.PrimaryKey()); ok && f.Kind != adm.KindMissing {
+			keyKind = f.Kind
+		}
+	}
+	if keyKind == adm.KindInt64 && c.Kind() == adm.KindDouble {
+		f := c.DoubleVal()
+		return adm.Int(int64(f)), f == math.Trunc(f) && math.Abs(f) < 1<<53
+	}
+	switch keyKind {
+	case adm.KindInt64, adm.KindString, adm.KindBoolean, adm.KindDateTime:
+		return c, keyKind == c.Kind()
+	}
+	return adm.Value{}, false
+}
 
 // pickIndexRange scans the WHERE conjuncts for comparisons of
 // alias.field against a constant where field carries a secondary

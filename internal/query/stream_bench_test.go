@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -173,4 +174,47 @@ func BenchmarkQueryParallelScan(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkQueryPrimaryKeyLookup contrasts the primary-key point lookup
+// — one Get on the owning partition's pinned snapshot — against the
+// full-scan fallback for the same `WHERE r.id = $1`. Each iteration
+// looks up a different key; the plan is asserted inside the benchmark,
+// so even a one-iteration run gates the access path.
+func BenchmarkQueryPrimaryKeyLookup(b *testing.B) {
+	const size = 100_000
+	sel := benchSel(b, `SELECT VALUE r FROM R r WHERE r.id = $1`)
+	for _, mode := range []struct {
+		name     string
+		fullScan bool
+		plan     string
+	}{
+		{"pkget", false, "pkget(R.id)→filter"},
+		{"fullscan", true, "pscan(R,partition,4)+filter"},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			cat := benchStreamCatalog(b, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx := NewContext(cat)
+				ctx.Params = map[string]adm.Value{"1": adm.Int(int64(i * 7919 % size))}
+				ctx.DisableIndexScan = mode.fullScan
+				rc, err := ExecuteSelectCursor(ctx, nil, sel)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !strings.HasPrefix(rc.Plan(), mode.plan) {
+					b.Fatalf("plan %q, want prefix %q", rc.Plan(), mode.plan)
+				}
+				if _, ok, err := rc.Next(); !ok || err != nil {
+					b.Fatalf("key %d: ok=%v err=%v", i*7919%size, ok, err)
+				}
+				if _, ok, _ := rc.Next(); ok {
+					b.Fatal("more than one row for a primary key")
+				}
+				rc.Close()
+			}
+		})
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/lsm"
 	"github.com/ideadb/idea/internal/sqlpp"
 )
 
@@ -77,18 +78,49 @@ func sameMultiset(a, b []adm.Value) bool {
 }
 
 // TestPlannerShapes pins which access path each query shape plans:
-// index pushdown, parallel partition scan (with its merge order and
-// pushed filter), bounded top-k vs full sort, streaming aggregation,
-// and the serial fallback. Asserting on Plan() keeps these decisions
+// primary-key point lookup, index pushdown, parallel partition scan
+// (with its merge order and pushed filter), bounded top-k vs full sort,
+// streaming aggregation, and the serial fallback. Asserting on Plan() keeps these decisions
 // test-enforced rather than timing-inferred. Every SELECT shape
 // streams — there is no eager fallback inside the cursor.
 func TestPlannerShapes(t *testing.T) {
 	cat := planCatalog(t, 400)
 	cases := []struct {
-		q    string
-		want []string // required Plan() substrings
-		not  []string // forbidden Plan() substrings
+		q      string
+		params map[string]adm.Value
+		want   []string // required Plan() substrings
+		not    []string // forbidden Plan() substrings
 	}{
+		{
+			// Primary-key equality: one Get on the owning partition,
+			// the full WHERE kept as the residual filter.
+			q:    `SELECT VALUE r FROM R r WHERE r.id = 17`,
+			want: []string{"pkget(R.id)", "filter"},
+			not:  []string{"pscan", "iscan", "scan(R)"},
+		},
+		{
+			q:      `SELECT VALUE r FROM R r WHERE r.id = $1`,
+			params: map[string]adm.Value{"1": adm.Int(17)},
+			want:   []string{"pkget(R.id)", "filter"},
+			not:    []string{"pscan"},
+		},
+		{
+			q:    `SELECT VALUE r FROM R r WHERE 17 = r.id`,
+			want: []string{"pkget(R.id)", "filter"},
+			not:  []string{"pscan"},
+		},
+		{
+			// The point lookup wins over the secondary index.
+			q:    `SELECT VALUE r FROM R r WHERE r.id = 17 AND r.cat = "c3"`,
+			want: []string{"pkget(R.id)", "filter"},
+			not:  []string{"iscan", "pscan"},
+		},
+		{
+			// A FROM-LET rebinds r: no conjunct names R's records.
+			q:    `SELECT VALUE r FROM R r LET r = {"id": 17, "cat": "c3"} WHERE r.id = 17 AND r.cat = "c3"`,
+			want: []string{"filter"},
+			not:  []string{"pkget", "iscan"},
+		},
 		{
 			q:    `SELECT VALUE r.id FROM R r WHERE r.cat = "c3"`,
 			want: []string{"iscan(R.by_cat on cat)", "filter"},
@@ -155,7 +187,9 @@ func TestPlannerShapes(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		rc := openCursor(t, NewContext(cat), tc.q)
+		ctx := NewContext(cat)
+		ctx.Params = tc.params
+		rc := openCursor(t, ctx, tc.q)
 		plan := rc.Plan()
 		for _, w := range tc.want {
 			if !strings.Contains(plan, w) {
@@ -175,6 +209,9 @@ func TestPlannerShapes(t *testing.T) {
 	ctx.DisableIndexScan = true
 	if plan := openCursor(t, ctx, `SELECT VALUE r.id FROM R r WHERE r.cat = "c3"`).Plan(); strings.Contains(plan, "iscan") {
 		t.Errorf("DisableIndexScan ignored: %q", plan)
+	}
+	if plan := openCursor(t, ctx, `SELECT VALUE r FROM R r WHERE r.id = 17`).Plan(); strings.Contains(plan, "pkget") || !strings.Contains(plan, "pscan(R") {
+		t.Errorf("DisableIndexScan did not force a scan: %q", plan)
 	}
 	ctx2 := NewContext(cat)
 	ctx2.DisableParallelScan = true
@@ -260,7 +297,7 @@ func TestCursorMatchesEagerRandomized(t *testing.T) {
 		`ORDER BY r.cat, r.id DESC`,
 	}
 
-	gen := func() string {
+	gen := func(rng *rand.Rand, wheres []string) string {
 		where := wheres[rng.Intn(len(wheres))]
 		switch rng.Intn(4) {
 		case 0: // pipeline shapes; no LIMIT without ORDER BY (the prefix would be scan-order-dependent)
@@ -296,10 +333,9 @@ func TestCursorMatchesEagerRandomized(t *testing.T) {
 		}
 	}
 
-	for i := 0; i < 200; i++ {
-		q := gen()
+	check := func(q string) (plan string) {
 		rc := openCursor(t, NewContext(cat), q)
-		plan := rc.Plan()
+		plan = rc.Plan()
 		if plan == "" {
 			t.Fatalf("%s: empty plan", q)
 		}
@@ -310,7 +346,7 @@ func TestCursorMatchesEagerRandomized(t *testing.T) {
 		if exact {
 			if len(got) != len(want) {
 				t.Errorf("%s:\n plan %s\n cursor %d rows, eager %d rows", q, plan, len(got), len(want))
-				continue
+				return plan
 			}
 			for j := range got {
 				if !adm.Equal(got[j], want[j]) {
@@ -320,6 +356,130 @@ func TestCursorMatchesEagerRandomized(t *testing.T) {
 			}
 		} else if !sameMultiset(got, want) {
 			t.Errorf("%s:\n plan %s\n cursor %v\n eager %v", q, plan, got, want)
+		}
+		return plan
+	}
+
+	for i := 0; i < 200; i++ {
+		check(gen(rng, wheres))
+	}
+
+	// A second corpus, seeded separately so the first stays fixed, over
+	// primary-key equalities: present, absent and cross-kind keys, the
+	// constant on either side, and a point combined with indexed and
+	// unindexed conjuncts that keep or drop its one record.
+	pkWheres := []string{
+		`WHERE r.id = 17`,
+		`WHERE r.id = 399`,
+		`WHERE r.id = 1000`,
+		`WHERE 42 = r.id`,
+		`WHERE r.id = 17 AND r.cat = "c1"`,
+		`WHERE r.id = 17 AND r.cat = "c3"`,
+		`WHERE r.cat = "c2" AND r.id = 10`,
+		`WHERE r.id = 250 AND r.score > 50`,
+		`WHERE r.id = 250 AND r.score < 50`,
+		`WHERE r.id = "17"`,
+		`WHERE r.id = 17.0`,
+	}
+	pkRng := rand.New(rand.NewSource(20261017))
+	points := 0
+	for i := 0; i < 100; i++ {
+		if strings.Contains(check(gen(pkRng, pkWheres)), "pkget(R.id)") {
+			points++
+		}
+	}
+	if points < 50 {
+		t.Errorf("only %d of 100 primary-key queries planned a point lookup", points)
+	}
+}
+
+// TestPrimaryKeyPointMatchesFullScan is the point-lookup acceptance
+// check: each query planned through one snapshot Get and through the
+// full scan (DisableIndexScan) must return the same rows, and the plan
+// proves which path ran. T is typed (id: int64) and durable, with
+// flushed runs under newer memtable versions and deletes, so the probe
+// crosses bloom filters and shadowing; R is untyped and in memory.
+func TestPrimaryKeyPointMatchesFullScan(t *testing.T) {
+	cat := planCatalog(t, 400)
+	dt := adm.MustDatatype("TT", true, []adm.FieldDef{{Name: "id", Kind: adm.KindInt64}})
+	ds, err := lsm.OpenDataset(lsm.NewMemFS(), "dur", "T", dt, "id", 4, lsm.Options{
+		MemBudget: 1 << 20, MaxComponents: 8, BlockCache: lsm.NewBlockCache(64 << 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	cat.datasets["T"] = ds
+	const big = 1 << 53 // 2^53 and 2^53+1 both promote to the double 2^53
+	upsert := func(id int64, v string) {
+		if err := ds.Upsert(obj("id", adm.Int(id), "v", adm.String(v))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < 300; i++ {
+		upsert(i, "old")
+	}
+	upsert(big, "old")
+	upsert(big+1, "old")
+	for i := 0; i < ds.NumPartitions(); i++ {
+		ds.Partition(i).Flush()
+		if err := ds.Partition(i).WaitForFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upsert(7, "new")
+	ds.Delete(adm.Int(9))
+
+	cases := []struct {
+		q      string
+		params map[string]adm.Value
+		point  bool // plan must be a point lookup
+	}{
+		{q: `SELECT VALUE r FROM R r WHERE r.id = 5`, point: true},
+		{q: `SELECT VALUE r FROM R r WHERE r.id = 4000`, point: true},
+		{q: `SELECT VALUE r FROM R r WHERE r.id = $1`, params: map[string]adm.Value{"1": adm.Int(5)}, point: true},
+		{q: `SELECT VALUE r FROM R r WHERE r.id = "5"`, point: true},
+		// R's key kind is undeclared: a double constant keeps the scan.
+		{q: `SELECT VALUE r FROM R r WHERE r.id = 5.0`},
+		{q: `SELECT r.id AS a, s.id AS b FROM R r, R s WHERE r.id = 5 AND s.score = r.score`, point: true},
+		{q: `SELECT r.cat AS c, count(*) AS n FROM R r WHERE r.id = 5 GROUP BY r.cat`, point: true},
+		// A FROM-LET rebinding the alias: r.id no longer names R's key,
+		// nor r.cat its indexed field.
+		{q: `SELECT VALUE r FROM R r LET r = {"id": 5} WHERE r.id = 5`},
+		{q: `SELECT VALUE r FROM R r LET r = {"cat": "c3"} WHERE r.cat = "c3"`},
+		{q: `SELECT VALUE t FROM T t WHERE t.id = 5`, point: true},
+		{q: `SELECT VALUE t FROM T t WHERE t.id = 7`, point: true},
+		{q: `SELECT VALUE t FROM T t WHERE t.id = 9`, point: true},
+		{q: `SELECT VALUE t FROM T t WHERE t.id = 4000`, point: true},
+		{q: `SELECT VALUE t FROM T t WHERE t.id = 5.0`, point: true},
+		{q: `SELECT VALUE t FROM T t WHERE 7.0 = t.id`, point: true},
+		{q: `SELECT VALUE t FROM T t WHERE t.id = 5.5`},
+		{q: `SELECT VALUE t FROM T t WHERE t.id = "5"`},
+		{q: `SELECT VALUE t FROM T t WHERE t.id = 9007199254740993`, point: true},
+		// Parses to the double 2^53, which equals two int64 keys.
+		{q: `SELECT VALUE t FROM T t WHERE t.id = 9007199254740992.5`},
+		{q: `SELECT VALUE t FROM T t WHERE t.id = $1`, params: map[string]adm.Value{"1": adm.Double(big)}},
+		{q: `SELECT t.v AS v, count(*) AS n FROM T t WHERE t.id = $1 GROUP BY t.v`, params: map[string]adm.Value{"1": adm.Double(7)}, point: true},
+		{q: `SELECT VALUE [t.id, r.cat] FROM T t, R r WHERE t.id = 7 AND r.id = t.id`, point: true},
+	}
+	for _, tc := range cases {
+		ctx := NewContext(cat)
+		ctx.Params = tc.params
+		rc := openCursor(t, ctx, tc.q)
+		if got := strings.Contains(rc.Plan(), "pkget("); got != tc.point {
+			t.Fatalf("%s:\n point lookup = %v, want %v; plan %q", tc.q, got, tc.point, rc.Plan())
+		}
+		got := drainCursor(t, rc)
+
+		full := NewContext(cat)
+		full.Params = tc.params
+		full.DisableIndexScan = true
+		fc := openCursor(t, full, tc.q)
+		if strings.Contains(fc.Plan(), "pkget") {
+			t.Fatalf("%s:\n full-scan control still uses the point lookup: %q", tc.q, fc.Plan())
+		}
+		want := drainCursor(t, fc)
+		if !sameMultiset(got, want) {
+			t.Errorf("%s:\n point %v\n full  %v", tc.q, got, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sqlpp
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -55,10 +56,35 @@ func ParseExpr(src string) (Expr, error) {
 	return e, nil
 }
 
+// MaxNestingDepth bounds how deeply a statement may nest expressions:
+// parenthesised or bracketed subexpressions, constructors, calls,
+// subqueries, and chained NOT or unary minus each add a level. The
+// parser recurses once per level, so without the bound a few megabytes
+// of `(` from a client would overflow the goroutine stack and kill the
+// process.
+const MaxNestingDepth = 1000
+
+// ErrNestingTooDeep is returned, wrapped with the offset where the limit
+// was crossed, when a statement nests deeper than MaxNestingDepth.
+var ErrNestingTooDeep = errors.New("sqlpp: expression nesting exceeds MaxNestingDepth")
+
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // current expression nesting, bounded by MaxNestingDepth
 }
+
+// descend enters one nesting level; when it succeeds the caller must
+// ascend on the way out.
+func (p *parser) descend() error {
+	p.depth++
+	if p.depth > MaxNestingDepth {
+		return fmt.Errorf("sqlpp: parse error at offset %d: %w", p.cur().Pos, ErrNestingTooDeep)
+	}
+	return nil
+}
+
+func (p *parser) ascend() { p.depth-- }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
 func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
@@ -655,6 +681,10 @@ func (p *parser) parseAnd() (Expr, error) {
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.accept(TokKeyword, "NOT") {
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -735,6 +765,10 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 func (p *parser) parseUnary() (Expr, error) {
 	if p.at(TokOp, "-") {
 		p.next()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -784,7 +818,18 @@ func (p *parser) parsePostfix() (Expr, error) {
 	}
 }
 
+// parsePrimary parses one primary expression, one nesting level deeper.
+// It is the parser's hottest call, so it ascends without a defer.
 func (p *parser) parsePrimary() (Expr, error) {
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
+	e, err := p.primary()
+	p.ascend()
+	return e, err
+}
+
+func (p *parser) primary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
 	case TokInt:

@@ -1,6 +1,7 @@
 package sqlpp
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -91,5 +92,49 @@ func TestLexNoiseTotal(t *testing.T) {
 			}()
 			Lex(sb.String()) //nolint:errcheck
 		}()
+	}
+}
+
+// TestParseNestingLimit: ~2M nested parentheses (~4 MB, well under the
+// wire protocol's frame limit) used to overflow the parser's stack and
+// kill the process; they now return ErrNestingTooDeep. So do chains of
+// NOT and unary minus, which recurse without a primary expression.
+// Nesting just under the limit still parses.
+func TestParseNestingLimit(t *testing.T) {
+	const deep = 2_000_000 // the reproducer: ~4 MB of parentheses
+	const past = 4 * MaxNestingDepth
+	for name, src := range map[string]string{
+		"parens":   "SELECT VALUE " + strings.Repeat("(", deep) + "1" + strings.Repeat(")", deep) + ";",
+		"unclosed": "SELECT VALUE " + strings.Repeat("(", deep),
+		"arrays":   "SELECT VALUE " + strings.Repeat("[", past) + strings.Repeat("]", past) + ";",
+		"subquery": strings.Repeat("SELECT VALUE (", past) + "1" + strings.Repeat(")", past) + ";",
+		"exists":   strings.Repeat("SELECT VALUE x FROM D x WHERE EXISTS (", past) + "1" + strings.Repeat(")", past) + ";",
+		"not":      "SELECT VALUE " + strings.Repeat("NOT ", past) + "true;",
+		"minus":    "SELECT VALUE " + strings.Repeat("- ", past) + "1;",
+		"calls":    "SELECT VALUE " + strings.Repeat("f(", past) + "1" + strings.Repeat(")", past) + ";",
+	} {
+		if _, err := Parse(src); !errors.Is(err, ErrNestingTooDeep) {
+			t.Errorf("%s: err = %v, want ErrNestingTooDeep", name, err)
+		}
+	}
+	if _, err := ParseExpr(strings.Repeat(`{"a": `, past) + "1" + strings.Repeat("}", past)); !errors.Is(err, ErrNestingTooDeep) {
+		t.Errorf("ParseExpr objects: err = %v, want ErrNestingTooDeep", err)
+	}
+
+	// Each parenthesised level is one primary expression; the literal
+	// inside is one more.
+	ok := MaxNestingDepth - 1
+	stmts, err := Parse("SELECT VALUE " + strings.Repeat("(", ok) + "1" + strings.Repeat(")", ok) + ";")
+	if err != nil {
+		t.Fatalf("nesting %d rejected: %v", ok, err)
+	}
+	if len(stmts) != 1 {
+		t.Fatalf("statements = %d", len(stmts))
+	}
+	if _, err := Parse("SELECT VALUE " + strings.Repeat("(", ok+1) + "1" + strings.Repeat(")", ok+1) + ";"); !errors.Is(err, ErrNestingTooDeep) {
+		t.Fatalf("nesting %d accepted: %v", ok+1, err)
+	}
+	if _, err := Parse("SELECT VALUE " + strings.Repeat("- ", ok) + "1;"); err != nil {
+		t.Fatalf("minus chain %d rejected: %v", ok, err)
 	}
 }

@@ -6,6 +6,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/cluster"
+	"github.com/ideadb/idea/internal/core"
+	"github.com/ideadb/idea/internal/lsm"
 )
 
 func TestQueryParamBinding(t *testing.T) {
@@ -453,5 +458,80 @@ func TestQueryPinsSnapshotsAtCallTime(t *testing.T) {
 	// A fresh query sees the write.
 	if got := queryVals(t, c, `SELECT VALUE count(*) FROM D d`); got[0].Int() != 2 {
 		t.Errorf("follow-up count = %v", got)
+	}
+}
+
+// TestQueryPointLookupDurableSnapshot drives a primary-key point query
+// through Cluster.Query on a durable dataset whose records sit in a
+// flushed run under newer memtable versions. The Get reads the snapshot
+// Query pinned: a later upsert stays invisible, a memtable delete hides
+// the flushed record, and a memtable upsert shadows it.
+func TestQueryPointLookupDurableSnapshot(t *testing.T) {
+	tuning := cluster.DefaultTuning()
+	tuning.DataDir = "data"
+	tuning.StorageFS = lsm.NewMemFS()
+	inner, err := cluster.New(2, tuning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Cluster{inner: inner, mgr: core.NewManager(inner), ctx: context.Background()}
+	defer c.Close()
+	c.MustExecute(`
+		CREATE TYPE T AS OPEN { id: int64, v: string };
+		CREATE DATASET D(T) PRIMARY KEY id;
+	`)
+	for i := 1; i <= 20; i++ {
+		c.MustExecute(fmt.Sprintf(`UPSERT INTO D ([{"id": %d, "v": "old"}]);`, i))
+	}
+	ds, _ := inner.Dataset("D")
+	for i := 0; i < ds.NumPartitions(); i++ {
+		ds.Partition(i).Flush()
+		if err := ds.Partition(i).WaitForFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if inner.StorageStats().OpenRunFiles == 0 {
+		t.Fatal("no run files after flush")
+	}
+	c.MustExecute(`UPSERT INTO D ([{"id": 3, "v": "new"}]);`)
+	if !ds.Delete(adm.Int(5)) {
+		t.Fatal("delete of a flushed key reported absent")
+	}
+
+	const q = `SELECT VALUE d.v FROM D d WHERE d.id = $1`
+	point := func(id int) []string {
+		t.Helper()
+		rows, err := c.Query(context.Background(), q, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		if plan := rows.cur.Plan(); !strings.HasPrefix(plan, "pkget(D.id)→filter") {
+			t.Fatalf("id %d: plan %q, want a point lookup", id, plan)
+		}
+		// Writes after Query returns, before the first pull.
+		c.MustExecute(fmt.Sprintf(`UPSERT INTO D ([{"id": %d, "v": "after"}]);`, id))
+		var out []string
+		for rows.Next() {
+			out = append(out, rows.Value().Str())
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		id   int
+		want string
+	}{
+		{7, "[old]"},   // flushed run; the later upsert is not seen
+		{21, "[]"},     // absent at Query time, upserted after
+		{5, "[]"},      // deleted in the memtable over the flushed run
+		{3, "[new]"},   // newer memtable version shadows the flushed one
+		{7, "[after]"}, // a fresh Query sees the earlier write
+	} {
+		if got := fmt.Sprint(point(tc.id)); got != tc.want {
+			t.Errorf("id %d: rows %s, want %s", tc.id, got, tc.want)
+		}
 	}
 }
